@@ -74,8 +74,11 @@ func (m *Manager) buildSLOs(gran time.Duration) *obs.SLOSet {
 		Critical: true,
 		Hist:     m.wheel.FireLateness(),
 		Quantile: 0.99,
-		// Coalescing legitimately defers a fire up to one full granularity;
-		// the second tick is the operating margin.
+		// Engine deliveries are armed on their quantized tick and fire on
+		// that boundary, so they contribute only wakeup latency. Off-grid
+		// timers (tuple advance, the occupancy gauge) legitimately wait up
+		// to one granularity for the next boundary; the second tick is the
+		// operating margin.
 		Threshold: 2 * tick,
 	})
 	set.Add(&obs.SLO{

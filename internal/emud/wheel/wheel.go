@@ -44,7 +44,9 @@ type Options struct {
 	// Shards is the number of scheduling goroutines (DefaultShards if 0).
 	Shards int
 	// Granularity coalesces wakeups onto tick boundaries: a timer due at t
-	// fires at the first boundary ≥ t, never early. Zero keeps the
+	// fires at the first boundary ≥ t, never early, so a deadline armed
+	// on a boundary (AtFunc with a tick-aligned instant, as the engine's
+	// quantized deliveries are) fires on that boundary. Zero keeps the
 	// wheel's exact-delivery semantics (each shard sleeps until its
 	// precise earliest deadline); that is the mode the single-session
 	// livewire relay runs in. Negative is treated as zero.
@@ -117,7 +119,7 @@ func New(o Options) *Wheel {
 		w.suppressed = o.Metrics.Counter("tracemod_wheel_timers_suppressed_total", "Wheel callbacks suppressed by a stopped owner.")
 		w.panics = o.Metrics.Counter("tracemod_wheel_callback_panics_total", "Wheel callbacks that panicked (recovered; owner poisoned).")
 		w.lateness = o.Metrics.Histogram("tracemod_wheel_fire_lateness_seconds",
-			"How late each callback fired relative to its deadline (coalescing admits up to one granularity; more means tick stall or overload). The tick-lateness SLO input.",
+			"How late each callback fired relative to its deadline (on-grid deadlines fire on their boundary, off-grid ones wait up to one granularity; more means tick stall or overload). The tick-lateness SLO input.",
 			latenessBuckets(o.Granularity))
 		o.Metrics.GaugeFunc("tracemod_wheel_timers_pending", "Timers currently waiting in the wheel.",
 			func() float64 { return float64(w.pending.Load()) })
@@ -172,7 +174,16 @@ func (w *Wheel) Pending() int64 { return w.pending.Load() }
 
 // AfterFunc schedules fn with no owner; it cannot be cancelled
 // (implements modulation.Clock).
-func (w *Wheel) AfterFunc(d time.Duration, fn func()) { w.schedule(nil, d, fn) }
+func (w *Wheel) AfterFunc(d time.Duration, fn func()) { w.schedule(nil, w.deadline(d), fn) }
+
+// AtFunc schedules fn with no owner for the absolute wheel time at. A
+// deadline already on a granularity boundary fires on that boundary; a
+// past deadline fires on the shard's next pass.
+func (w *Wheel) AtFunc(at time.Duration, fn func()) { w.schedule(nil, at, fn) }
+
+// deadline converts a relative delay into an absolute wheel time,
+// treating negative delays as zero.
+func (w *Wheel) deadline(d time.Duration) time.Duration { return w.Now() + max(d, 0) }
 
 // Timers returns a cancellation scope: a modulation.Clock whose pending
 // callbacks can all be revoked at once with Stop.
@@ -213,7 +224,16 @@ func (t *Timers) AfterFunc(d time.Duration, fn func()) {
 	if t.stopped.Load() {
 		return
 	}
-	t.w.schedule(t, d, fn)
+	t.w.schedule(t, t.w.deadline(d), fn)
+}
+
+// AtFunc schedules fn for the absolute wheel time at, with the same
+// rounding as Wheel.AtFunc. After Stop it is a no-op.
+func (t *Timers) AtFunc(at time.Duration, fn func()) {
+	if t.stopped.Load() {
+		return
+	}
+	t.w.schedule(t, at, fn)
 }
 
 // Stopped reports whether Stop has been called.
@@ -247,16 +267,12 @@ type shard struct {
 	due  []entry // dispatch scratch, reused across wakeups
 }
 
-// schedule places fn on a shard, waking it if the new entry becomes the
-// earliest deadline.
-func (w *Wheel) schedule(owner *Timers, d time.Duration, fn func()) {
+// schedule places fn on a shard for the absolute wheel time at, waking
+// the shard if the new entry becomes its earliest deadline.
+func (w *Wheel) schedule(owner *Timers, at time.Duration, fn func()) {
 	if w.closed.Load() {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
-	at := w.Now() + d
 	s := w.shards[w.next.Add(1)%uint64(len(w.shards))]
 	s.mu.Lock()
 	s.seq++

@@ -196,3 +196,72 @@ func TestMetrics(t *testing.T) {
 		t.Fatalf("suppressed = %d, want 1", w.suppressed.Load())
 	}
 }
+
+// fireAt arms fn at the absolute deadline at on w and returns the wheel
+// time it fired at.
+func fireAt(t *testing.T, w *Wheel, at time.Duration) time.Duration {
+	t.Helper()
+	ch := make(chan time.Duration, 1)
+	w.AtFunc(at, func() { ch <- w.Now() })
+	select {
+	case got := <-ch:
+		return got
+	case <-time.After(2 * time.Second):
+		t.Fatalf("AtFunc(%v) never fired", at)
+		return 0
+	}
+}
+
+func TestAtFuncOnBoundaryFiresOnIt(t *testing.T) {
+	const g = 50 * time.Millisecond
+	w := New(Options{Shards: 1, Granularity: g})
+	defer w.Close()
+	b := (w.Now()/g + 2) * g
+	got := fireAt(t, w, b)
+	if got < b {
+		t.Fatalf("fired at %v, before its deadline %v", got, b)
+	}
+	if got >= b+g {
+		t.Fatalf("fired at %v: an on-boundary deadline %v waited for the next boundary", got, b)
+	}
+}
+
+func TestAtFuncOffBoundaryRoundsUp(t *testing.T) {
+	const g = 50 * time.Millisecond
+	w := New(Options{Shards: 1, Granularity: g})
+	defer w.Close()
+	b := (w.Now()/g + 2) * g
+	if got := fireAt(t, w, b+g/5); got < b+g {
+		t.Fatalf("fired at %v, want at the first boundary ≥ the deadline (%v)", got, b+g)
+	}
+}
+
+func TestAtFuncPastDeadlineFiresNextPass(t *testing.T) {
+	// With an hour-long granularity, any rounding would park the timer
+	// for the rest of the test; a past deadline is due on the pass its
+	// scheduling wakes.
+	w := New(Options{Shards: 1, Granularity: time.Hour})
+	defer w.Close()
+	fireAt(t, w, w.Now()-time.Second)
+}
+
+func TestTimersStopSuppressesAtFunc(t *testing.T) {
+	reg := obs.NewRegistry()
+	w := New(Options{Shards: 2, Metrics: reg})
+	defer w.Close()
+	tm := w.Timers()
+	var fired atomic.Int64
+	at := w.Now() + 20*time.Millisecond
+	for i := 0; i < 50; i++ {
+		tm.AtFunc(at, func() { fired.Add(1) })
+	}
+	tm.Stop()
+	tm.AtFunc(w.Now(), func() { fired.Add(1) }) // no-op on a stopped handle
+	time.Sleep(60 * time.Millisecond)
+	if n := fired.Load(); n != 0 {
+		t.Fatalf("%d AtFunc callbacks fired after Stop", n)
+	}
+	if s := w.suppressed.Load(); s != 50 {
+		t.Fatalf("suppressed = %d, want 50", s)
+	}
+}

@@ -55,6 +55,10 @@ func (c *RealClock) Now() time.Duration { return c.w.Now() }
 // AfterFunc implements modulation.Clock.
 func (c *RealClock) AfterFunc(d time.Duration, fn func()) { c.w.AfterFunc(d, fn) }
 
+// AtFunc runs fn at the absolute clock time at (the engine arms its
+// timers through it).
+func (c *RealClock) AtFunc(at time.Duration, fn func()) { c.w.AtFunc(at, fn) }
+
 // Close stops the clock's scheduling goroutine, discarding pending
 // callbacks. A relay that owns its clock closes it on Close.
 func (c *RealClock) Close() { c.w.Close() }

@@ -48,6 +48,22 @@ func dialRelay(t *testing.T, r *Relay) *net.UDPConn {
 	return c
 }
 
+// settledStats polls r.Stats until both relay counters reach their
+// expected totals, or a few seconds pass, and returns the last reading.
+// The relay counts a datagram after writing it, so a client can read an
+// echo before the relay's count of that echo lands; callers then assert
+// exact totals on the settled reading.
+func settledStats(r *Relay, c2t, t2c int64) Stats {
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		st := r.Stats()
+		if (st.ClientToTarget >= c2t && st.TargetToClient >= t2c) || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestRelayShapesRTT(t *testing.T) {
 	target := echoServer(t)
 	// 20ms one-way latency, exact scheduling: RTT must be >= 40ms.
@@ -81,7 +97,7 @@ func TestRelayShapesRTT(t *testing.T) {
 			t.Fatalf("rtt %d = %v, implausibly slow", i, rtt)
 		}
 	}
-	st := r.Stats()
+	st := settledStats(r, 5, 5)
 	if st.ClientToTarget != 5 || st.TargetToClient != 5 {
 		t.Fatalf("stats = %+v", st)
 	}

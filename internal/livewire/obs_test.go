@@ -42,6 +42,8 @@ func TestRelayLiveIntrospection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Scrape once the relay's own count of the last echo has landed.
+	settledStats(r, 5, 5)
 
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 	if err != nil {

@@ -75,7 +75,7 @@ func TestRelayBurstSharded(t *testing.T) {
 		t.Fatal("relay did not attach to the group")
 	}
 	burstEcho(t, r, 200, 16)
-	st := r.Stats()
+	st := settledStats(r, 200, 200)
 	r.Close()
 	g.Close()
 	if st.ClientToTarget != 200 || st.TargetToClient != 200 {
@@ -108,7 +108,7 @@ func TestRelayBurstGenericFallback(t *testing.T) {
 		t.Fatal("ForceGenericIO relay must not be sharded")
 	}
 	burstEcho(t, r, 200, 16)
-	st := r.Stats()
+	st := settledStats(r, 200, 200)
 	if st.ClientToTarget != 200 || st.TargetToClient != 200 {
 		t.Fatalf("relayed %d/%d, want 200/200", st.ClientToTarget, st.TargetToClient)
 	}

@@ -52,14 +52,29 @@ func mixedWorkload(n int) []burstPacket {
 	return pkts
 }
 
+// afterOnly hides SimClock's AtFunc: an engine on it arms its timers
+// through the Now/AfterFunc adapter a foreign Clock gets.
+type afterOnly struct{ Clock }
+
+// An arming route builds the engine's clock over a scheduler.
+type route struct {
+	name  string
+	clock func(*sim.Scheduler) Clock
+}
+
+var routes = []route{
+	{"native", func(s *sim.Scheduler) Clock { return SimClock{S: s} }},
+	{"adapter", func(s *sim.Scheduler) Clock { return afterOnly{SimClock{S: s}} }},
+}
+
 // runSequential submits the workload one packet at a time through
 // SubmitWithDrop, chunked so that each chunk shares one virtual instant
 // (gaps advance the clock between chunks).
-func runSequential(t *testing.T, tr core.Trace, cfg Config, pkts []burstPacket) ([]outcome, Stats) {
+func runSequential(t *testing.T, r route, tr core.Trace, cfg Config, pkts []burstPacket) ([]outcome, Stats) {
 	t.Helper()
 	s := sim.New(1)
 	cfg.RNG = rand.New(rand.NewSource(42))
-	e := engine(s, tr, cfg)
+	e := NewEngine(r.clock(s), &SliceSource{Trace: tr}, cfg)
 	outs := make([]outcome, len(pkts))
 	for i, p := range pkts {
 		if p.gap > 0 {
@@ -77,11 +92,11 @@ func runSequential(t *testing.T, tr core.Trace, cfg Config, pkts []burstPacket) 
 // runBatched submits the same workload through SubmitBatch, splitting at
 // gap boundaries (a gap means the packets did not arrive in one burst)
 // and additionally chunking bursts at the given size.
-func runBatched(t *testing.T, tr core.Trace, cfg Config, pkts []burstPacket, chunk int) ([]outcome, Stats) {
+func runBatched(t *testing.T, r route, tr core.Trace, cfg Config, pkts []burstPacket, chunk int) ([]outcome, Stats) {
 	t.Helper()
 	s := sim.New(1)
 	cfg.RNG = rand.New(rand.NewSource(42))
-	e := engine(s, tr, cfg)
+	e := NewEngine(r.clock(s), &SliceSource{Trace: tr}, cfg)
 	outs := make([]outcome, len(pkts))
 	var batch []Submission
 	flush := func() {
@@ -117,8 +132,13 @@ func runBatched(t *testing.T, tr core.Trace, cfg Config, pkts []burstPacket, chu
 // same delivery instants (same bottleneck serialization, quantization,
 // and coalescing) — as N sequential SubmitWithDrop calls. Under the sim
 // clock, packets of one burst share the sequential path's Now() reading,
-// so the equivalence is exact, not approximate.
+// so the equivalence is exact, not approximate. Both timer-arming routes
+// run — the clock's native AtFunc and the Now/AfterFunc adapter — and
+// every combination must match native sequential submission.
 func TestSubmitBatchMatchesSequential(t *testing.T) {
+	if _, ok := Clock(afterOnly{}).(atClock); ok {
+		t.Fatal("afterOnly must not expose AtFunc, or the adapter route goes untested")
+	}
 	configs := []struct {
 		name string
 		tr   core.Trace
@@ -135,15 +155,25 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 	for _, tc := range configs {
 		for _, chunk := range []int{1, 7, 32, 240} {
 			t.Run(fmt.Sprintf("%s/chunk=%d", tc.name, chunk), func(t *testing.T) {
-				want, wantStats := runSequential(t, tc.tr, tc.cfg, pkts)
-				got, gotStats := runBatched(t, tc.tr, tc.cfg, pkts, chunk)
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("packet %d: sequential %v, batched %v", i, want[i], got[i])
+				want, wantStats := runSequential(t, routes[0], tc.tr, tc.cfg, pkts)
+				for _, r := range routes {
+					for _, mode := range []string{"sequential", "batched"} {
+						var got []outcome
+						var gotStats Stats
+						if mode == "sequential" {
+							got, gotStats = runSequential(t, r, tc.tr, tc.cfg, pkts)
+						} else {
+							got, gotStats = runBatched(t, r, tc.tr, tc.cfg, pkts, chunk)
+						}
+						for i := range want {
+							if want[i] != got[i] {
+								t.Fatalf("packet %d: native sequential %v, %s %s %v", i, want[i], r.name, mode, got[i])
+							}
+						}
+						if wantStats != gotStats {
+							t.Fatalf("stats diverge: native sequential %+v, %s %s %+v", wantStats, r.name, mode, gotStats)
+						}
 					}
-				}
-				if wantStats != gotStats {
-					t.Fatalf("stats diverge: sequential %+v, batched %+v", wantStats, gotStats)
 				}
 			})
 		}

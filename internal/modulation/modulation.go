@@ -46,6 +46,24 @@ type Clock interface {
 	AfterFunc(d time.Duration, fn func())
 }
 
+// atClock is the optional absolute-deadline side of a Clock: AtFunc runs
+// fn at clock time at (at once if at has passed). The engine decides
+// every timer as an instant — a quantized delivery tick, a tuple's end,
+// a bottleneck finish — and arming that instant directly keeps it exact:
+// re-deriving it from a relative delay re-reads the clock, and on a real
+// clock that second reading lands the deadline just past the instant the
+// engine chose (past its tick boundary, on a coalescing wheel). Every
+// clock in this repository implements it; NewEngine wraps a clock that
+// does not in afterClock.
+type atClock interface {
+	AtFunc(at time.Duration, fn func())
+}
+
+// afterClock arms absolute deadlines on a Clock that only has AfterFunc.
+type afterClock struct{ Clock }
+
+func (c afterClock) AtFunc(at time.Duration, fn func()) { c.AfterFunc(at-c.Now(), fn) }
+
 // SimClock adapts a sim.Scheduler.
 type SimClock struct{ S *sim.Scheduler }
 
@@ -54,6 +72,9 @@ func (c SimClock) Now() time.Duration { return c.S.Now().Duration() }
 
 // AfterFunc implements Clock.
 func (c SimClock) AfterFunc(d time.Duration, fn func()) { c.S.After(d, fn) }
+
+// AtFunc runs fn at virtual time at (the engine's absolute arming path).
+func (c SimClock) AtFunc(at time.Duration, fn func()) { c.S.At(sim.Time(at), fn) }
 
 // Source supplies replay-trace tuples to the engine, non-blocking. ok is
 // false when no tuple is currently available (the engine then holds its
@@ -227,6 +248,7 @@ func newInstruments(reg *obs.Registry, tick time.Duration) *instruments {
 type Engine struct {
 	mu    sync.Mutex
 	clock Clock
+	armer atClock // clock, or afterClock{clock}: arms timers at absolute times
 	src   Source
 	cfg   Config
 
@@ -275,7 +297,11 @@ func NewEngine(clock Clock, src Source, cfg Config) *Engine {
 	if cfg.RNG == nil {
 		cfg.RNG = rand.New(rand.NewSource(DefaultDropSeed))
 	}
-	e := &Engine{clock: clock, src: src, cfg: cfg, tracer: cfg.Tracer, spans: cfg.Spans}
+	armer, ok := clock.(atClock)
+	if !ok {
+		armer = afterClock{clock}
+	}
+	e := &Engine{clock: clock, armer: armer, src: src, cfg: cfg, tracer: cfg.Tracer, spans: cfg.Spans}
 	if cfg.Tick > 0 {
 		e.pending = make(map[time.Duration]*tickBatch)
 	}
@@ -320,12 +346,12 @@ func (e *Engine) armAdvanceTimer() {
 	if e.timerArmed || !e.curOK || e.starved {
 		return
 	}
-	wait := e.schedEnd - e.clock.Now()
-	if wait <= 0 {
-		wait = time.Millisecond
+	at := e.schedEnd
+	if now := e.clock.Now(); at <= now {
+		at = now + time.Millisecond
 	}
 	e.timerArmed = true
-	e.clock.AfterFunc(wait, func() {
+	e.armer.AtFunc(at, func() {
 		e.mu.Lock()
 		e.timerArmed = false
 		e.advance(e.clock.Now())
@@ -427,10 +453,10 @@ type Submission struct {
 // batchOutcome carries one burst packet's post-lock actions out of the
 // locked decision phase.
 type batchOutcome struct {
-	sp    *span.Span
-	sync  func()
-	delay time.Duration
-	arm   func()
+	sp   *span.Span
+	sync func()
+	at   time.Duration
+	arm  func()
 }
 
 // outcomePool recycles SubmitBatch's scratch slice so steady-state batch
@@ -474,7 +500,7 @@ func (e *Engine) SubmitBatch(subs []Submission) {
 	now := e.clock.Now()
 	for i := range subs {
 		s := &subs[i]
-		outs[i].sync, outs[i].delay, outs[i].arm = e.submitLocked(now, s.Dir, s.Size, outs[i].sp, s.Deliver, s.Drop)
+		outs[i].sync, outs[i].at, outs[i].arm = e.submitLocked(now, s.Dir, s.Size, outs[i].sp, s.Deliver, s.Drop)
 	}
 	e.mu.Unlock()
 	for i := range outs {
@@ -482,7 +508,7 @@ func (e *Engine) SubmitBatch(subs []Submission) {
 			outs[i].sync()
 		}
 		if outs[i].arm != nil {
-			e.clock.AfterFunc(outs[i].delay, outs[i].arm)
+			e.armer.AtFunc(outs[i].at, outs[i].arm)
 		}
 		outs[i] = batchOutcome{} // release closure references before pooling
 	}
@@ -512,13 +538,13 @@ func (e *Engine) packetSpan(dir simnet.Direction, size int, parent *span.Span) *
 func (e *Engine) submit(dir simnet.Direction, size int, parent *span.Span, deliver, drop func()) {
 	sp := e.packetSpan(dir, size, parent)
 	e.mu.Lock()
-	sync, delay, arm := e.submitLocked(e.clock.Now(), dir, size, sp, deliver, drop)
+	sync, at, arm := e.submitLocked(e.clock.Now(), dir, size, sp, deliver, drop)
 	e.mu.Unlock()
 	if sync != nil {
 		sync()
 	}
 	if arm != nil {
-		e.clock.AfterFunc(delay, arm)
+		e.armer.AtFunc(at, arm)
 	}
 }
 
@@ -526,11 +552,13 @@ func (e *Engine) submit(dir simnet.Direction, size int, parent *span.Span, deliv
 // the caller) and returns the actions to perform once the lock is
 // released: sync is the synchronous outcome to invoke (an immediate
 // delivery, or the drop callback — nil when the packet was parked on a
-// timer), and arm (with its delay) is a timer to schedule. Splitting
-// decision from action lets SubmitBatch amortize one lock acquisition and
-// one clock read across a whole burst while reusing this exact per-packet
-// path, so batch and sequential submission cannot drift apart.
-func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int, sp *span.Span, deliver, drop func()) (sync func(), delay time.Duration, arm func()) {
+// timer), and arm is a timer to schedule at the absolute instant at —
+// the quantized delivery tick itself, never a delay re-based on a later
+// clock reading. Splitting decision from action lets SubmitBatch
+// amortize one lock acquisition and one clock read across a whole burst
+// while reusing this exact per-packet path, so batch and sequential
+// submission cannot drift apart.
+func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int, sp *span.Span, deliver, drop func()) (sync func(), at time.Duration, arm func()) {
 	e.stats.Submitted++
 	e.ins.submitPacket() // nil-safe: one branch when obs is off
 	// Fast path: the cached cursor (cur/schedEnd) still covers now, so no
@@ -629,7 +657,7 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 
 	// Remaining path: latency plus residual per-byte cost, overlapped.
 	target := finishBottleneck + t.F + t.Vr.Cost(size)
-	delay = target - now
+	delay := target - now
 
 	if e.cfg.Tick > 0 {
 		if delay < e.cfg.Tick/2 {
@@ -698,9 +726,9 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 		b := e.takeBatch()
 		b.fns = append(b.fns, deliver)
 		e.pending[target] = b
-		return nil, delay, func() { e.fireBatch(target) }
+		return nil, target, func() { e.fireBatch(target) }
 	}
-	return nil, delay, deliver
+	return nil, target, deliver
 }
 
 // takeBatch returns an empty batch from the free list, or a fresh one.
@@ -783,7 +811,7 @@ func (e *Engine) trackOccupancy(now, finish time.Duration) {
 	}
 	e.inflight++
 	e.ins.queueDepth.Set(e.inflight)
-	e.clock.AfterFunc(finish-now, func() {
+	e.armer.AtFunc(finish, func() {
 		e.mu.Lock()
 		e.inflight--
 		e.ins.queueDepth.Set(e.inflight)
