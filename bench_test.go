@@ -308,7 +308,6 @@ func engineHotPathBench(withObs bool) func(b *testing.B) {
 		cfg := modulation.Config{RNG: rand.New(rand.NewSource(1))}
 		if withObs {
 			cfg.Metrics = obs.NewRegistry()
-			cfg.Tracer = obs.NewRingTracer(0)
 		}
 		eng := modulation.NewEngine(modulation.SimClock{S: s}, &modulation.SliceSource{Trace: trace}, cfg)
 		deliver := func() {}
@@ -324,8 +323,9 @@ func engineHotPathBench(withObs bool) func(b *testing.B) {
 func BenchmarkEngineSubmitObsDisabled(b *testing.B) { engineHotPathBench(false)(b) }
 
 // BenchmarkEngineSubmitObsEnabled measures the same path with the full
-// metric set and event tracer attached, to keep the observation cost
-// visible.
+// metric set attached, to keep the observation cost visible. Per-packet
+// records are sampled spans, measured by the BenchmarkEngineSubmitSpans*
+// family.
 func BenchmarkEngineSubmitObsEnabled(b *testing.B) { engineHotPathBench(true)(b) }
 
 // TestObsDisabledHotPathAddsNoAllocs is the regression guard for the

@@ -10,12 +10,16 @@
 //
 // With -debug ADDR the daemon serves live introspection over HTTP:
 // /metrics (Prometheus text; ?format=text for a human dump), /healthz,
-// /debug/events (the packet-lifecycle event ring), and /debug/pprof/.
+// /debug/spans, and /debug/pprof/. With -trace-sample R (e.g. 0.01) the
+// relay samples per-packet spans for roughly one datagram in 1/R and keeps
+// the most recent in a flight recorder served as /debug/spans (JSON;
+// ?format=tree for the span forest).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"time"
@@ -25,6 +29,7 @@ import (
 	"tracemod/internal/livewire"
 	"tracemod/internal/modulation"
 	"tracemod/internal/obs"
+	"tracemod/internal/obs/span"
 	"tracemod/internal/replay"
 )
 
@@ -39,7 +44,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "drop-lottery seed")
 	stats := flag.Duration("stats", 10*time.Second, "stats reporting period (0 = quiet)")
 	debug := flag.String("debug", "", "HTTP debug listener address, e.g. 127.0.0.1:9100 (empty = disabled)")
-	events := flag.Int("events", obs.DefaultTracerCapacity, "packet-lifecycle event ring capacity for /debug/events (0 = tracing off)")
+	traceSample := flag.Float64("trace-sample", 0, "span sampling rate in [0,1] (0 disables tracing; 1 traces everything)")
 	flag.Parse()
 
 	if *target == "" {
@@ -47,16 +52,19 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Telemetry: one registry for the whole daemon, an optional bounded
-	// event ring, and the debug listener serving both.
+	// Telemetry: one registry for the whole daemon, an optional sampled
+	// span tracer feeding a flight recorder, and the debug listener
+	// serving both.
 	var reg *obs.Registry
-	var tracer *obs.RingTracer
+	var spans *span.Tracer
+	var flight *span.FlightRecorder
 	if *debug != "" {
 		reg = obs.NewRegistry()
 		obs.Uptime(reg, time.Now())
 		replay.EnableMetrics(reg)
-		if *events > 0 {
-			tracer = obs.NewRingTracer(*events)
+		if *traceSample > 0 {
+			flight = span.NewFlightRecorder(span.DefaultFlightCapacity)
+			spans = span.New(span.Config{Sample: *traceSample, Sink: flight, Metrics: reg})
 		}
 	}
 
@@ -92,9 +100,7 @@ func main() {
 		Compensation: core.PerByte(*comp),
 		Seed:         *seed,
 		Obs:          reg,
-	}
-	if tracer != nil {
-		cfg.Tracer = tracer
+		Spans:        spans,
 	}
 	relay, err := livewire.NewRelay(*listen, *target, cfg)
 	if err != nil {
@@ -106,13 +112,21 @@ func main() {
 		relay.Addr(), *target, len(trace), trace.TotalDuration(), trace.MeanVb().BitsPerSec()/1e6)
 
 	if reg != nil {
-		srv, err := obs.StartDebugServer(*debug, reg, tracer)
+		mux := obs.Mux(reg)
+		mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
+			if flight == nil {
+				http.Error(w, "span tracing disabled; run with -trace-sample R", http.StatusNotFound)
+				return
+			}
+			span.ServeFlight(w, r, "", flight)
+		})
+		srv, err := obs.StartDebugServer(*debug, mux)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "modulate: %v\n", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Printf("debug listener on http://%s (/metrics /healthz /debug/events /debug/pprof/)\n", srv.Addr())
+		fmt.Printf("debug listener on http://%s (/metrics /healthz /debug/spans /debug/pprof/)\n", srv.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)

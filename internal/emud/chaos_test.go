@@ -70,7 +70,7 @@ func TestChaosFarmSurvivesAllFaults(t *testing.T) {
 	// check doesn't drown.
 	defer m.wheel.Close()
 
-	srv := httptest.NewServer(NewAPI(m, reg, obs.NewRingTracer(1024)).Handler())
+	srv := httptest.NewServer(NewAPI(m, reg).Handler())
 	defer srv.Close()
 
 	// Arm the full menu at 10%. Stall-type points get a small delay so the

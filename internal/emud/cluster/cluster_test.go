@@ -33,7 +33,7 @@ func newTestWorker(t *testing.T, name string) *testWorker {
 		SessionIDPrefix: name + "-",
 	})
 	t.Cleanup(m.Close)
-	srv := httptest.NewServer(emud.NewAPI(m, reg, obs.NewRingTracer(128)).Handler())
+	srv := httptest.NewServer(emud.NewAPI(m, reg).Handler())
 	t.Cleanup(srv.Close)
 	return &testWorker{name: name, m: m, srv: srv}
 }
@@ -327,6 +327,12 @@ func TestLeaseSuspectEvictFailover(t *testing.T) {
 			}
 		}
 		return true
+	})
+	// failoverWorker records each placement only after its restore
+	// returns, and bumps the counter after the whole loop: w2 can hold a
+	// session before c.place names it. Wait for the loop to finish.
+	waitFor(t, 2*time.Second, "failover loop to finish", func() bool {
+		return c.failedOver.Load() >= int64(len(w1Sessions))
 	})
 	for _, id := range w1Sessions {
 		s, _ := w2.m.Get(id)

@@ -42,8 +42,7 @@ const (
 // API serves the control plane for one Manager.
 type API struct {
 	m   *Manager
-	reg *obs.Registry   // may be nil
-	tr  *obs.RingTracer // may be nil
+	reg *obs.Registry // may be nil
 
 	faultSlow, faultErr *faults.Point // control-plane chaos (nil when no injector)
 
@@ -67,10 +66,10 @@ type idemEntry struct {
 // idemTTL bounds how long a completed create is replayable by key.
 const idemTTL = 10 * time.Minute
 
-// NewAPI builds the control plane. reg and tracer may be nil; when reg is
-// non-nil the obs debug surface is mounted alongside the session routes.
-func NewAPI(m *Manager, reg *obs.Registry, tracer *obs.RingTracer) *API {
-	a := &API{m: m, reg: reg, tr: tracer}
+// NewAPI builds the control plane. reg may be nil; when it is non-nil the
+// obs debug surface is mounted alongside the session routes.
+func NewAPI(m *Manager, reg *obs.Registry) *API {
+	a := &API{m: m, reg: reg}
 	if inj := m.opts.Faults; inj != nil {
 		a.faultSlow = inj.Point("control.slow")
 		a.faultErr = inj.Point("control.error")
@@ -106,8 +105,8 @@ func (a *API) Mux() *http.ServeMux {
 	mux.HandleFunc("DELETE /v1/faults", a.resetFaults)
 	if a.reg != nil {
 		// The obs debug surface on the same listener: /metrics, /healthz,
-		// /debug/events, /debug/pprof/...
-		for pattern, h := range muxRoutes(obs.Mux(a.reg, a.tr)) {
+		// /debug/pprof/...
+		for pattern, h := range muxRoutes(obs.Mux(a.reg)) {
 			mux.Handle(pattern, h)
 		}
 	} else {
@@ -307,7 +306,7 @@ func (a *API) resetFaults(w http.ResponseWriter, _ *http.Request) {
 func muxRoutes(h http.Handler) map[string]http.Handler {
 	routes := map[string]http.Handler{}
 	for _, p := range []string{
-		"/metrics", "/healthz", "/debug/events",
+		"/metrics", "/healthz",
 		"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile",
 		"/debug/pprof/symbol", "/debug/pprof/trace",
 	} {
@@ -1193,18 +1192,8 @@ func (a *API) farmInfo(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// FlightDump is the GET /v1/sessions/{id}/flight payload: the session's
-// last-N sampled spans, oldest first.
-type FlightDump struct {
-	Session  string           `json:"session"`
-	Capacity int              `json:"capacity"`
-	Total    uint64           `json:"total"`
-	Spans    []*span.SpanData `json:"spans"`
-}
-
-// flightDump serves a session's flight recorder. Default is the JSON
-// span dump (the same wire shape as span JSONL records, in an array);
-// ?format=tree renders the human-readable span forest instead.
+// flightDump serves a session's flight recorder as a span.FlightDump
+// (JSON by default, ?format=tree for the span forest).
 func (a *API) flightDump(w http.ResponseWriter, r *http.Request) {
 	s, ok := a.m.Get(r.PathValue("id"))
 	if !ok {
@@ -1216,18 +1205,7 @@ func (a *API) flightDump(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("span tracing disabled; no flight recorder"))
 		return
 	}
-	spans := f.Snapshot()
-	if r.URL.Query().Get("format") == "tree" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = span.RenderTree(w, spans)
-		return
-	}
-	writeJSON(w, http.StatusOK, FlightDump{
-		Session:  s.ID,
-		Capacity: f.Capacity(),
-		Total:    f.Total(),
-		Spans:    spans,
-	})
+	span.ServeFlight(w, r, s.ID, f)
 }
 
 func (a *API) sloReport(w http.ResponseWriter, _ *http.Request) {

@@ -27,7 +27,7 @@ func newTestAPI(t *testing.T, o Options) (*httptest.Server, *Manager) {
 	}
 	m := NewManager(o)
 	t.Cleanup(m.Close)
-	srv := httptest.NewServer(NewAPI(m, reg, obs.NewRingTracer(128)).Handler())
+	srv := httptest.NewServer(NewAPI(m, reg).Handler())
 	t.Cleanup(srv.Close)
 	return srv, m
 }

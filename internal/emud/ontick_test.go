@@ -9,7 +9,7 @@ import (
 	"tracemod/internal/core"
 	"tracemod/internal/emud/wheel"
 	"tracemod/internal/modulation"
-	"tracemod/internal/obs"
+	"tracemod/internal/obs/span"
 	"tracemod/internal/replay"
 	"tracemod/internal/simnet"
 )
@@ -43,8 +43,9 @@ func TestDeliveriesFireOnTheirTick(t *testing.T) {
 	// 30 ms fixed latency plus 10 µs/B residual cost: the sizes below
 	// spread the burst's deliveries across several tick boundaries.
 	tr := replay.Constant(core.DelayParams{F: 30 * time.Millisecond, Vr: 10_000}, 0, time.Hour, time.Hour)
-	tracer := obs.NewRingTracer(256)
-	eng := modulation.NewEngine(tm, &modulation.SliceSource{Trace: tr}, modulation.Config{Tick: tick, Tracer: tracer})
+	sink := span.NewCollectorSink(64)
+	spans := span.New(span.Config{Sample: 1, Sink: sink, Now: tm.Now})
+	eng := modulation.NewEngine(tm, &modulation.SliceSource{Trace: tr}, modulation.Config{Tick: tick, Spans: spans})
 
 	sizes := []int{100, 400, 900, 1300, 1800, 2200, 2900, 3400}
 	fired := make([]time.Duration, len(sizes))
@@ -65,12 +66,23 @@ func TestDeliveriesFireOnTheirTick(t *testing.T) {
 		t.Fatal("deliveries never fired")
 	}
 
-	// The engine records each scheduled delivery's quantized target, in
-	// submission order.
-	var targets []time.Duration
-	for _, ev := range tracer.Snapshot() {
-		if ev.Kind == obs.EvDeliver {
-			targets = append(targets, ev.At)
+	// The engine records each scheduled delivery's quantized target on
+	// the packet span's wheel.wait child; the packet span's size
+	// attribute ties it back to its submission.
+	idx := map[int64]int{}
+	for i, size := range sizes {
+		idx[int64(size)] = i
+	}
+	packetOf := map[span.SpanID]int{}
+	for _, d := range sink.Spans() {
+		if d.Name == "modulation.packet" {
+			packetOf[d.ID] = idx[spanAttr(d, "size")]
+		}
+	}
+	targets := map[int]time.Duration{}
+	for _, d := range sink.Spans() {
+		if i, ok := packetOf[d.Parent]; ok && d.Name == "wheel.wait" {
+			targets[i] = time.Duration(spanAttr(d, "target_ns"))
 		}
 	}
 	if len(targets) != len(sizes) {
@@ -89,4 +101,14 @@ func TestDeliveriesFireOnTheirTick(t *testing.T) {
 	if len(boundaries) < 3 {
 		t.Fatalf("burst covered %d tick boundaries, want several", len(boundaries))
 	}
+}
+
+// spanAttr returns a span's integer attribute (0 when absent).
+func spanAttr(d *span.SpanData, key string) int64 {
+	for _, a := range d.Attrs {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return 0
 }

@@ -376,10 +376,8 @@ func (s *Session) Submit(dir simnet.Direction, size int, deliver func()) bool {
 	return s.submit(dir, size, deliver, nil)
 }
 
-// SubmitWithDrop implements livewire.Submitter, so an attached relay's
-// traffic flows through the session's accounting. drop also runs when the
-// session rejects the packet outright (the relay reclaims its buffer
-// either way).
+// SubmitWithDrop is Submit with a drop callback, which also runs when the
+// session rejects the packet outright.
 func (s *Session) SubmitWithDrop(dir simnet.Direction, size int, deliver, drop func()) {
 	s.submit(dir, size, deliver, drop)
 }

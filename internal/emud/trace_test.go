@@ -112,7 +112,7 @@ func TestAPIFlightEndpoint(t *testing.T) {
 	// Spans reach the flight recorder on End; wait for the roots too.
 	waitFor(t, "flight spans", func() bool { return s.Flight().Total() >= 5 })
 
-	var dump FlightDump
+	var dump span.FlightDump
 	doJSON(t, "GET", srv.URL+"/v1/sessions/"+created.ID+"/flight", nil, http.StatusOK, &dump)
 	if dump.Session != created.ID || dump.Capacity != 64 {
 		t.Fatalf("dump header = %+v", dump)
@@ -236,7 +236,7 @@ func TestQuarantineFlightDumpWellParented(t *testing.T) {
 	s.Submit(simnet.Outbound, 1000, func() {})
 	waitFor(t, "quarantine", s.Quarantined)
 
-	var dump FlightDump
+	var dump span.FlightDump
 	doJSON(t, "GET", srv.URL+"/v1/sessions/"+created.ID+"/flight", nil, http.StatusOK, &dump)
 	if len(dump.Spans) == 0 {
 		t.Fatal("quarantined session has an empty flight dump")
@@ -351,7 +351,7 @@ func TestFarmObservabilityScrape(t *testing.T) {
 		if s.Flight().Total() == 0 {
 			continue
 		}
-		var dump FlightDump
+		var dump span.FlightDump
 		doJSON(t, "GET", srv.URL+"/v1/sessions/"+id+"/flight", nil, http.StatusOK, &dump)
 		if len(dump.Spans) == 0 {
 			t.Fatalf("session %s reported %d flight spans but dumped none", id, s.Flight().Total())

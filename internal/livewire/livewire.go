@@ -78,14 +78,6 @@ const maxDatagram = 64 * 1024
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
 func putBuf(b *[]byte) { bufPool.Put(b) }
 
-// Submitter is the shaping surface a relay pushes datagrams through:
-// exactly one of deliver or drop must eventually run for every call.
-// *modulation.Engine implements it directly; the emud session farm
-// interposes its per-session accounting by implementing it on Session.
-type Submitter interface {
-	SubmitWithDrop(dir simnet.Direction, size int, deliver, drop func())
-}
-
 // Config parameterizes a relay.
 type Config struct {
 	// Trace drives the shaping; it loops for the relay's lifetime.
@@ -104,12 +96,12 @@ type Config struct {
 	// tracemod_modulation_*). Serve it with obs.StartDebugServer for live
 	// introspection of a running daemon.
 	Obs *obs.Registry
-	// Tracer, if non-nil, receives the engine's packet-lifecycle events.
-	Tracer obs.Tracer
 	// Spans, if non-nil, samples per-datagram "livewire.packet" root spans
 	// in the pumps, threaded through the engine (modulation child, wheel
 	// wait, delivery events) and ended after the socket write. The relay
-	// owns rooting, so the engine itself is not given a tracer.
+	// owns rooting, so the engine itself is not given a tracer. NewRelay
+	// binds the tracer's clock to the relay's own, so span times and the
+	// engine's event times share an epoch: give each relay its own tracer.
 	Spans *span.Tracer
 	// Retry shapes how a pump backs off after a transient socket error
 	// (an ICMP port-unreachable bounced off a not-yet-started target, an
@@ -158,9 +150,8 @@ func (s Stats) AvgBatch() float64 {
 
 // Relay is a live packet-shaping daemon.
 type Relay struct {
-	submit Submitter
-	bsub   BatchSubmitter     // non-nil when submit is batch-aware
-	engine *modulation.Engine // nil for NewRelayWithSubmitter relays
+	sub    BatchSubmitter
+	engine *modulation.Engine // nil for NewRelayWithSubmitterOpts relays
 	clock  *RealClock         // non-nil when the relay owns its clock
 	spans  *span.Tracer       // nil-safe; only set for relays that own an engine
 
@@ -204,7 +195,6 @@ func (r *Relay) start(group *PumpGroup, forceGeneric bool) {
 		r.batch = DefaultBatch
 	}
 	r.started = time.Now()
-	r.bsub, _ = r.submit.(BatchSubmitter)
 	r.clientIO = newBatchConn(r.clientSide, false, forceGeneric)
 	r.targetIO = newBatchConn(r.targetSide, true, forceGeneric)
 	r.gins = group.instruments()
@@ -259,16 +249,16 @@ func NewRelay(listenAddr, targetAddr string, cfg Config) (*Relay, error) {
 		return nil, err
 	}
 	clock := NewRealClock()
+	cfg.Spans.SetNow(clock.Now)
 	eng := modulation.NewEngine(clock, &modulation.SliceSource{Trace: cfg.Trace, Loop: true}, modulation.Config{
 		Tick:         cfg.Tick,
 		InboundExtra: cfg.InboundExtra,
 		Compensation: cfg.Compensation,
 		RNG:          rand.New(rand.NewSource(cfg.Seed)),
 		Metrics:      cfg.Obs,
-		Tracer:       cfg.Tracer,
 	})
 	r := &Relay{
-		submit:     eng,
+		sub:        eng,
 		engine:     eng,
 		clock:      clock,
 		spans:      cfg.Spans,
@@ -331,20 +321,13 @@ type RelayOpts struct {
 	Retry faults.Backoff
 }
 
-// NewRelayWithSubmitter binds sockets and shapes traffic through a
-// Submitter the caller owns — the emud session farm attaches one relay per
-// session this way (the session interposes its accounting, and every
-// engine shares the farm's timer wheel). The relay never closes the
+// NewRelayWithSubmitterOpts binds sockets and shapes traffic through a
+// BatchSubmitter the caller owns — the emud session farm attaches one
+// relay per session this way (the session interposes its accounting, and
+// every engine shares the farm's timer wheel). The relay never closes the
 // submitter's clock; revoking pending timers is the caller's teardown
 // responsibility.
-func NewRelayWithSubmitter(listenAddr, targetAddr string, sub Submitter) (*Relay, error) {
-	return NewRelayWithSubmitterOpts(listenAddr, targetAddr, sub, RelayOpts{})
-}
-
-// NewRelayWithSubmitterOpts is NewRelayWithSubmitter with data-plane
-// options. If the Submitter also implements BatchSubmitter, read bursts
-// enter it whole through SubmitBatch.
-func NewRelayWithSubmitterOpts(listenAddr, targetAddr string, sub Submitter, opts RelayOpts) (*Relay, error) {
+func NewRelayWithSubmitterOpts(listenAddr, targetAddr string, sub BatchSubmitter, opts RelayOpts) (*Relay, error) {
 	if sub == nil {
 		return nil, errors.New("livewire: nil submitter")
 	}
@@ -353,7 +336,7 @@ func NewRelayWithSubmitterOpts(listenAddr, targetAddr string, sub Submitter, opt
 		return nil, err
 	}
 	r := &Relay{
-		submit:     sub,
+		sub:        sub,
 		clientSide: clientSide,
 		targetSide: targetSide,
 		closed:     make(chan struct{}),
@@ -400,7 +383,7 @@ func (r *Relay) rootSpan(dir simnet.Direction, size int) *span.Span {
 }
 
 // Engine exposes the underlying modulation engine (for its statistics).
-// It is nil for relays built with NewRelayWithSubmitter.
+// It is nil for relays built with NewRelayWithSubmitterOpts.
 func (r *Relay) Engine() *modulation.Engine { return r.engine }
 
 // Close shuts the relay down (and its clock, when the relay owns one).

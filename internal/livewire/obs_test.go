@@ -1,6 +1,7 @@
 package livewire
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -8,28 +9,48 @@ import (
 	"time"
 
 	"tracemod/internal/obs"
+	"tracemod/internal/obs/span"
 )
 
 func TestRelayLiveIntrospection(t *testing.T) {
-	// The full daemon surface: a relay with telemetry enabled, its
-	// registry served by the debug listener, scraped over HTTP while
-	// traffic flows — the acceptance path for `curl /metrics`.
+	// The full daemon surface, as cmd/modulate wires it: a relay with
+	// telemetry and fully sampled spans, its registry and span flight
+	// recorder served by the debug listener, scraped over HTTP while
+	// traffic flows — the acceptance path for `curl /metrics` and
+	// `curl /debug/spans`.
 	target := echoServer(t)
 	reg := obs.NewRegistry()
-	tracer := obs.NewRingTracer(256)
+	flight := span.NewFlightRecorder(span.DefaultFlightCapacity)
 	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
 		Trace: constTrace(time.Millisecond, 0), Tick: -1, Seed: 1,
-		Obs: reg, Tracer: tracer,
+		Obs: reg, Spans: span.New(span.Config{Sample: 1, Sink: flight}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	srv, err := obs.StartDebugServer("127.0.0.1:0", reg, tracer)
+	mux := obs.Mux(reg)
+	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, req *http.Request) {
+		span.ServeFlight(w, req, "", flight)
+	})
+	srv, err := obs.StartDebugServer("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
 
 	c := dialRelay(t, r)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -45,16 +66,7 @@ func TestRelayLiveIntrospection(t *testing.T) {
 	// Scrape once the relay's own count of the last echo has landed.
 	settledStats(r, 5, 5)
 
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(body)
+	out := string(get("/metrics"))
 	for _, want := range []string{
 		"tracemod_livewire_client_to_target_total 5",
 		"tracemod_livewire_target_to_client_total 5",
@@ -67,20 +79,54 @@ func TestRelayLiveIntrospection(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, out)
 		}
 	}
-	if tracer.Total() == 0 {
-		t.Fatal("tracer saw no lifecycle events")
-	}
 
-	resp2, err := http.Get("http://" + srv.Addr() + "/debug/events")
-	if err != nil {
-		t.Fatal(err)
+	// Every datagram, both directions, roots a livewire.packet span that
+	// ends after its socket write; wait (bounded) until all ten are in.
+	var dump span.FlightDump
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		dump = span.FlightDump{}
+		if err := json.Unmarshal(get("/debug/spans"), &dump); err != nil {
+			t.Fatal(err)
+		}
+		if countNamed(dump.Spans, "livewire.packet") >= 10 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
-	defer resp2.Body.Close()
-	events, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
+	if n := countNamed(dump.Spans, "livewire.packet"); n != 10 {
+		t.Fatalf("/debug/spans holds %d livewire.packet spans, want 10 (5 pings, 5 echoes)", n)
 	}
-	if !strings.Contains(string(events), "submit") {
-		t.Fatalf("/debug/events missing submit events:\n%s", events)
+	if n := countNamed(dump.Spans, "modulation"); n != 10 {
+		t.Fatalf("/debug/spans holds %d modulation spans, want 10", n)
 	}
+	if dump.Capacity != span.DefaultFlightCapacity || dump.Total < 20 {
+		t.Fatalf("flight dump capacity %d total %d, want %d and >= 20", dump.Capacity, dump.Total, span.DefaultFlightCapacity)
+	}
+	// The engine stamps its events on the relay clock. With exact
+	// scheduling every event falls inside the span it annotates; a span
+	// clock of another epoch would shift them outside.
+	for _, d := range dump.Spans {
+		for _, ev := range d.Events {
+			if ev.At < d.Start || ev.At > d.End {
+				t.Fatalf("span %s event %s at %v outside [%v, %v]", d.Name, ev.Name, ev.At, d.Start, d.End)
+			}
+		}
+	}
+	tree := string(get("/debug/spans?format=tree"))
+	for _, want := range []string{"livewire.packet", "modulation", "wheel.wait", "bneck-enter"} {
+		if !strings.Contains(tree, want) {
+			t.Fatalf("/debug/spans?format=tree missing %q:\n%s", want, tree)
+		}
+	}
+}
+
+func countNamed(spans []*span.SpanData, name string) int {
+	n := 0
+	for _, d := range spans {
+		if d.Name == name {
+			n++
+		}
+	}
+	return n
 }

@@ -17,11 +17,12 @@ import (
 	"tracemod/internal/simnet"
 )
 
-// BatchSubmitter is the batch-aware extension of Submitter: a whole read
-// burst enters the shaper under one engine lock acquisition.
-// *modulation.Engine implements it natively; emud sessions interpose
-// their per-packet admission control and accounting around it. A relay
-// whose Submitter also implements BatchSubmitter uses it automatically.
+// BatchSubmitter is the shaping surface a relay pushes datagrams
+// through: a whole read burst enters the shaper under one engine lock
+// acquisition, and exactly one of each submission's Deliver or Drop must
+// eventually run. *modulation.Engine implements it natively; emud
+// sessions interpose their per-packet admission control and accounting
+// around it.
 type BatchSubmitter interface {
 	SubmitBatch(subs []modulation.Submission)
 }
@@ -361,10 +362,9 @@ func (r *Relay) processBatch(dir simnet.Direction, ms []ioMessage) {
 }
 
 // submitBurst pushes one read burst into the shaper, recovering a panic
-// thrown synchronously by the submitter (or a callback it runs inline)
-// exactly as safeSubmit does for single packets: the pump survives, the
-// burst's remaining pooled buffers are leaked to the garbage collector
-// rather than risking a double put.
+// thrown synchronously by the submitter (or a callback it runs inline):
+// the pump survives, the burst's remaining pooled buffers are leaked to
+// the garbage collector rather than risking a double put.
 func (r *Relay) submitBurst(subs []modulation.Submission) {
 	if len(subs) == 0 {
 		return
@@ -374,23 +374,7 @@ func (r *Relay) submitBurst(subs []modulation.Submission) {
 			r.submitPanics.Add(1)
 		}
 	}()
-	if r.bsub != nil {
-		r.bsub.SubmitBatch(subs)
-		return
-	}
-	for i := range subs {
-		r.submitOne(&subs[i])
-	}
-}
-
-// submitOne submits one packet of a burst through the single-packet
-// Submitter surface (non-batch-aware submitters only).
-func (r *Relay) submitOne(s *modulation.Submission) {
-	if s.Span != nil && r.engine != nil {
-		r.engine.SubmitSpan(s.Dir, s.Size, s.Span, s.Deliver, s.Drop)
-		return
-	}
-	r.submit.SubmitWithDrop(s.Dir, s.Size, s.Deliver, s.Drop)
+	r.sub.SubmitBatch(subs)
 }
 
 // send transmits one modulated datagram toward dir's egress socket,

@@ -11,15 +11,12 @@ import (
 	"tracemod/internal/core"
 	"tracemod/internal/modulation"
 	"tracemod/internal/replay"
-	"tracemod/internal/simnet"
 )
 
 // instantSubmitter delivers every packet immediately, in submit order —
 // a zero-delay shaper that isolates the data plane for tests and
-// benchmarks. It implements both Submitter and BatchSubmitter.
+// benchmarks.
 type instantSubmitter struct{}
-
-func (instantSubmitter) SubmitWithDrop(_ simnet.Direction, _ int, deliver, _ func()) { deliver() }
 
 func (instantSubmitter) SubmitBatch(subs []modulation.Submission) {
 	for i := range subs {

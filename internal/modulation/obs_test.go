@@ -1,8 +1,9 @@
 package modulation
 
-// Observability-driven tests: tick-quantization boundary behaviour pinned
-// through the packet-lifecycle event tracer, engine metric registration,
-// and drop-lottery determinism across equally seeded engines.
+// Observability-driven tests: tick-quantization boundary behaviour and
+// the packet lifecycle pinned through the engine's span events, engine
+// metric registration, and drop-lottery determinism across equally seeded
+// engines.
 
 import (
 	"math/rand"
@@ -12,60 +13,122 @@ import (
 
 	"tracemod/internal/core"
 	"tracemod/internal/obs"
+	"tracemod/internal/obs/span"
 	"tracemod/internal/sim"
 	"tracemod/internal/simnet"
 )
 
+// packetSpans is one packet's record: the engine-rooted
+// "modulation.packet" span and, for a timer-scheduled delivery, its
+// "wheel.wait" child (nil when the packet left at once).
+type packetSpans struct {
+	root, wait *span.SpanData
+}
+
+// tracedEngine builds an engine that roots a sampled span for every
+// packet, timed by the simulator's clock, into the returned collector.
+func tracedEngine(s *sim.Scheduler, tr core.Trace, cfg Config) (*Engine, *span.CollectorSink) {
+	sink := span.NewCollectorSink(64)
+	cfg.Spans = span.New(span.Config{Sample: 1, Sink: sink, Now: SimClock{S: s}.Now})
+	return NewEngine(SimClock{S: s}, &SliceSource{Trace: tr}, cfg), sink
+}
+
+// onePacket picks the single packet's spans out of a collector.
+func onePacket(t *testing.T, spans []*span.SpanData) packetSpans {
+	t.Helper()
+	var p packetSpans
+	for _, d := range spans {
+		switch d.Name {
+		case "modulation.packet":
+			if p.root != nil {
+				t.Fatalf("more than one packet span in %d spans", len(spans))
+			}
+			p.root = d
+		case "wheel.wait":
+			p.wait = d
+		}
+	}
+	if p.root == nil {
+		t.Fatalf("no modulation.packet span in %d spans", len(spans))
+	}
+	if p.wait != nil && p.wait.Parent != p.root.ID {
+		t.Fatalf("wheel.wait parent %v, want the packet span %v", p.wait.Parent, p.root.ID)
+	}
+	return p
+}
+
 // submitOnce runs a single packet with latency f through a fresh engine
-// with a 10 ms tick and a tracer, and returns the recorded events plus
-// the virtual delivery time (-1 if never delivered).
-func submitOnce(t *testing.T, f time.Duration) ([]obs.Event, time.Duration) {
+// with a 10 ms tick, and returns its spans plus the virtual delivery time
+// (-1 if never delivered).
+func submitOnce(t *testing.T, f time.Duration) (packetSpans, time.Duration) {
 	t.Helper()
 	s := sim.New(1)
-	tr := constTrace(core.DelayParams{F: f}, 0)
-	tracer := obs.NewRingTracer(64)
-	e := NewEngine(SimClock{S: s}, &SliceSource{Trace: tr}, Config{Tick: 10 * time.Millisecond, Tracer: tracer})
+	e, sink := tracedEngine(s, constTrace(core.DelayParams{F: f}, 0), Config{Tick: 10 * time.Millisecond})
 	deliveredAt := time.Duration(-1)
 	e.Submit(simnet.Outbound, 100, func() { deliveredAt = s.Now().Duration() })
 	s.RunUntil(sim.Time(time.Second))
-	return tracer.Snapshot(), deliveredAt
+	return onePacket(t, sink.Spans()), deliveredAt
 }
 
-// find returns the first event of the given kind, failing if absent.
-func find(t *testing.T, events []obs.Event, kind obs.EventKind) obs.Event {
+// event returns the packet span's first event of the given name, failing
+// if absent.
+func (p packetSpans) event(t *testing.T, name string) span.Event {
 	t.Helper()
-	for _, e := range events {
-		if e.Kind == kind {
-			return e
+	for _, ev := range p.root.Events {
+		if ev.Name == name {
+			return ev
 		}
 	}
-	t.Fatalf("no %v event in %d events", kind, len(events))
-	return obs.Event{}
+	t.Fatalf("no %q event in %s", name, p.names())
+	return span.Event{}
 }
 
-func hasKind(events []obs.Event, kind obs.EventKind) bool {
-	for _, e := range events {
-		if e.Kind == kind {
+func (p packetSpans) has(name string) bool {
+	for _, ev := range p.root.Events {
+		if ev.Name == name {
 			return true
 		}
 	}
 	return false
 }
 
+// names lists the packet span's event names in record order.
+func (p packetSpans) names() string {
+	var names []string
+	for _, ev := range p.root.Events {
+		names = append(names, ev.Name)
+	}
+	return strings.Join(names, " ")
+}
+
+// attr returns a span's integer attribute, failing if absent.
+func attr(t *testing.T, d *span.SpanData, key string) int64 {
+	t.Helper()
+	for _, a := range d.Attrs {
+		if a.Key == key && !a.IsStr {
+			return a.Val
+		}
+	}
+	t.Fatalf("span %s has no %q attribute", d.Name, key)
+	return 0
+}
+
 func TestQuantizationBelowHalfTickIsImmediate(t *testing.T) {
 	// Delay strictly under half a tick (5 ms): delivered at once, no
-	// quantization event.
+	// quantization event, no scheduled wait.
 	for _, f := range []time.Duration{time.Millisecond, 5*time.Millisecond - time.Nanosecond} {
-		events, at := submitOnce(t, f)
+		p, at := submitOnce(t, f)
 		if at != 0 {
 			t.Fatalf("F=%v: delivered at %v, want immediate (0)", f, at)
 		}
-		if hasKind(events, obs.EvQuantize) {
+		if p.has("quantize") {
 			t.Fatalf("F=%v: unexpected quantize event for sub-half-tick delay", f)
 		}
-		dev := find(t, events, obs.EvDeliver)
-		if dev.Aux != 1 {
-			t.Fatalf("F=%v: deliver event not flagged immediate: %+v", f, dev)
+		if ev := p.event(t, "deliver-immediate"); ev.At != 0 || p.root.End != 0 {
+			t.Fatalf("F=%v: immediate delivery at %v, span end %v, want 0", f, ev.At, p.root.End)
+		}
+		if p.wait != nil {
+			t.Fatalf("F=%v: immediate delivery has a wheel.wait span", f)
 		}
 	}
 }
@@ -73,59 +136,69 @@ func TestQuantizationBelowHalfTickIsImmediate(t *testing.T) {
 func TestQuantizationAtExactlyHalfTickRoundsUp(t *testing.T) {
 	// Exactly half a tick is NOT under half a tick: it is scheduled, and
 	// rounds to the closest tick — 10 ms.
-	events, at := submitOnce(t, 5*time.Millisecond)
+	p, at := submitOnce(t, 5*time.Millisecond)
 	if at != 10*time.Millisecond {
 		t.Fatalf("delivered at %v, want 10ms", at)
 	}
-	q := find(t, events, obs.EvQuantize)
-	if q.Value != 5*time.Millisecond {
-		t.Fatalf("quantize delta = %v, want +5ms", q.Value)
+	if q := p.event(t, "quantize"); q.Val != int64(5*time.Millisecond) {
+		t.Fatalf("quantize delta = %v, want +5ms", time.Duration(q.Val))
 	}
-	dev := find(t, events, obs.EvDeliver)
-	if dev.Aux == 1 || dev.At != 10*time.Millisecond {
-		t.Fatalf("deliver event = %+v, want scheduled at 10ms", dev)
+	if p.has("deliver-immediate") || p.wait == nil {
+		t.Fatalf("half-tick packet not scheduled: events %s", p.names())
+	}
+	if target := attr(t, p.wait, "target_ns"); target != int64(10*time.Millisecond) || p.wait.End != 10*time.Millisecond {
+		t.Fatalf("wheel.wait target %v ended %v, want both 10ms", time.Duration(target), p.wait.End)
 	}
 }
 
 func TestQuantizationJustAboveHalfTickRoundsToClosestTick(t *testing.T) {
 	// 5ms+1ns rounds to 10 ms (closest tick), recording a just-under
 	// +5ms rounding delta.
-	events, at := submitOnce(t, 5*time.Millisecond+time.Nanosecond)
+	p, at := submitOnce(t, 5*time.Millisecond+time.Nanosecond)
 	if at != 10*time.Millisecond {
 		t.Fatalf("delivered at %v, want 10ms", at)
 	}
-	q := find(t, events, obs.EvQuantize)
-	if q.Value != 5*time.Millisecond-time.Nanosecond {
-		t.Fatalf("quantize delta = %v, want 5ms-1ns", q.Value)
+	if q := p.event(t, "quantize"); q.Val != int64(5*time.Millisecond-time.Nanosecond) {
+		t.Fatalf("quantize delta = %v, want 5ms-1ns", time.Duration(q.Val))
 	}
 }
 
 func TestQuantizationRoundsDownPastTick(t *testing.T) {
-	// 14 ms rounds down to 10 ms: the tracer records a negative delta.
-	events, at := submitOnce(t, 14*time.Millisecond)
+	// 14 ms rounds down to 10 ms: the span records a negative delta.
+	p, at := submitOnce(t, 14*time.Millisecond)
 	if at != 10*time.Millisecond {
 		t.Fatalf("delivered at %v, want 10ms", at)
 	}
-	q := find(t, events, obs.EvQuantize)
-	if q.Value != -4*time.Millisecond {
-		t.Fatalf("quantize delta = %v, want -4ms", q.Value)
+	if q := p.event(t, "quantize"); q.Val != int64(-4*time.Millisecond) {
+		t.Fatalf("quantize delta = %v, want -4ms", time.Duration(q.Val))
+	}
+	if target := attr(t, p.wait, "target_ns"); target != int64(10*time.Millisecond) {
+		t.Fatalf("wheel.wait target = %v, want 10ms", time.Duration(target))
 	}
 }
 
 func TestLifecycleEventOrdering(t *testing.T) {
-	// One delayed packet emits, in record order: tuple-switch (from
-	// engine construction), submit, bottleneck enter/exit, quantize,
-	// deliver.
-	events, _ := submitOnce(t, 20*time.Millisecond)
-	var kinds []string
-	for _, e := range events {
-		kinds = append(kinds, e.Kind.String())
+	// One delayed packet: the span opens at submit, records the cursor
+	// lookup, bottleneck enter/exit, quantization and the timer it leads,
+	// in that order, and closes — with its wheel.wait child — at delivery.
+	p, at := submitOnce(t, 20*time.Millisecond)
+	want := "cursor-fastpath bneck-enter bneck-exit quantize coalesce-lead"
+	if got := p.names(); got != want {
+		t.Fatalf("event order = %q, want %q", got, want)
 	}
-	got := strings.Join(kinds, " ")
-	// Later tuple-switches may trail as virtual time runs on.
-	want := "tuple-switch submit bneck-enter bneck-exit quantize deliver"
-	if !strings.HasPrefix(got, want) {
-		t.Fatalf("event order = %q, want prefix %q", got, want)
+	if p.root.Start != 0 {
+		t.Fatalf("packet span starts at %v, want the submit instant 0", p.root.Start)
+	}
+	// Tuple 1 is in force from engine construction.
+	if tuple := attr(t, p.root, "tuple"); tuple != 1 {
+		t.Fatalf("packet span tuple = %d, want 1", tuple)
+	}
+	if at != 20*time.Millisecond || p.wait == nil || p.wait.End != at || p.root.End != at {
+		t.Fatalf("delivered at %v; wheel.wait %+v, packet span end %v: want all at 20ms", at, p.wait, p.root.End)
+	}
+	last := p.root.Events[len(p.root.Events)-1]
+	if last.At > p.wait.End {
+		t.Fatalf("event %q at %v after delivery at %v", last.Name, last.At, p.wait.End)
 	}
 }
 
@@ -218,20 +291,16 @@ func TestEqualSeedsGiveIdenticalDropSequences(t *testing.T) {
 
 func TestCompensationEventCarriesAdjustment(t *testing.T) {
 	s := sim.New(1)
-	tracer := obs.NewRingTracer(32)
 	p := core.DelayParams{F: time.Millisecond, Vb: 1000}
-	e := NewEngine(SimClock{S: s}, &SliceSource{Trace: constTrace(p, 0)},
-		Config{Tick: -1, Compensation: 400, Tracer: tracer})
+	e, sink := tracedEngine(s, constTrace(p, 0), Config{Tick: -1, Compensation: 400})
 	e.Submit(simnet.Inbound, 1000, func() {})
-	// Bounded run: s.Run would walk the whole hour-long trace and flood
-	// the small event ring with tuple switches.
 	s.RunUntil(sim.Time(100 * time.Millisecond))
-	ev := find(t, tracer.Snapshot(), obs.EvCompensate)
+	pkt := onePacket(t, sink.Spans())
 	// Inbound Vb drops from 1000 to 600 ns/B over 1000 bytes: -400µs.
-	if ev.Value != -400*time.Microsecond {
-		t.Fatalf("compensate adjust = %v, want -400µs", ev.Value)
+	if ev := pkt.event(t, "compensate"); ev.Val != int64(-400*time.Microsecond) {
+		t.Fatalf("compensate adjust = %v, want -400µs", time.Duration(ev.Val))
 	}
-	if hasKind(tracer.Snapshot(), obs.EvQuantize) {
+	if pkt.has("quantize") {
 		t.Fatal("exact scheduling must not quantize")
 	}
 }

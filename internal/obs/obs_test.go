@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -157,76 +156,23 @@ func TestDumpHumanReadable(t *testing.T) {
 	}
 }
 
-func TestRingTracerWrapAround(t *testing.T) {
-	tr := NewRingTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(Event{Kind: EvSubmit, Aux: int64(i)})
-	}
-	if tr.Len() != 4 || tr.Total() != 10 || tr.Overwritten() != 6 {
-		t.Fatalf("len=%d total=%d over=%d", tr.Len(), tr.Total(), tr.Overwritten())
-	}
-	snap := tr.Snapshot()
-	for i, e := range snap {
-		if e.Aux != int64(6+i) {
-			t.Fatalf("snapshot[%d].Aux = %d, want %d (oldest-first)", i, e.Aux, 6+i)
-		}
-	}
-	var b strings.Builder
-	if err := tr.Dump(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "overwritten") {
-		t.Fatalf("dump should note overrun:\n%s", b.String())
-	}
-}
-
-func TestRingTracerConcurrentRecord(t *testing.T) {
-	tr := NewRingTracer(128)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tr.Record(Event{Kind: EvDeliver})
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Total() != 8000 {
-		t.Fatalf("total = %d, want 8000", tr.Total())
-	}
-}
-
-func TestEventFormatNamesKinds(t *testing.T) {
-	e := Event{At: time.Second, Kind: EvDrop, Dir: 1, Size: 1500, Tuple: 3, Aux: int64(DropLottery)}
-	s := e.Format()
-	for _, want := range []string{"drop", "1500", "tuple=3", "lottery"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("format %q missing %q", s, want)
-		}
-	}
-}
-
 func TestDebugServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("tracemod_test_total", "a metric").Add(42)
-	tr := NewRingTracer(16)
-	tr.Record(Event{Kind: EvSubmit, Size: 100})
-	srv, err := StartDebugServer("127.0.0.1:0", reg, tr)
+	srv, err := StartDebugServer("127.0.0.1:0", Mux(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	get := func(path string) string {
+	getStatus := func(path string, want int) string {
 		resp, err := http.Get("http://" + srv.Addr() + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -234,6 +180,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 		}
 		return string(body)
 	}
+	get := func(path string) string { return getStatus(path, http.StatusOK) }
 
 	if out := get("/metrics"); !strings.Contains(out, "tracemod_test_total 42") {
 		t.Fatalf("/metrics missing counter:\n%s", out)
@@ -244,12 +191,14 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if out := get("/healthz"); !strings.Contains(out, "ok") {
 		t.Fatalf("/healthz = %q", out)
 	}
-	if out := get("/debug/events"); !strings.Contains(out, "submit") {
-		t.Fatalf("/debug/events missing event:\n%s", out)
-	}
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Fatal("/debug/pprof/cmdline empty")
 	}
+	if out := get("/debug/pprof/"); !strings.Contains(out, "goroutine") {
+		t.Fatalf("/debug/pprof/ index missing profiles:\n%s", out)
+	}
+	// Per-packet records are spans now; the event-ring endpoint is gone.
+	getStatus("/debug/events", http.StatusNotFound)
 }
 
 func TestUptimeGauge(t *testing.T) {

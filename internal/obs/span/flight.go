@@ -12,7 +12,11 @@
 // immutable SpanData.
 package span
 
-import "sync/atomic"
+import (
+	"encoding/json"
+	"net/http"
+	"sync/atomic"
+)
 
 // DefaultFlightCapacity bounds a flight recorder by default.
 const DefaultFlightCapacity = 256
@@ -80,4 +84,28 @@ func (f *FlightRecorder) Snapshot() []*SpanData {
 		}
 	}
 	return out
+}
+
+// FlightDump is the JSON shape of a flight-recorder dump: the recorder's
+// last-N sampled spans, oldest first. Session names the emud session the
+// recorder rides on (empty for a standalone relay).
+type FlightDump struct {
+	Session  string      `json:"session,omitempty"`
+	Capacity int         `json:"capacity"`
+	Total    uint64      `json:"total"`
+	Spans    []*SpanData `json:"spans"`
+}
+
+// ServeFlight answers an HTTP request with f's snapshot: a FlightDump in
+// JSON by default (each span in its JSONL wire shape), or the
+// human-readable span forest with ?format=tree.
+func ServeFlight(w http.ResponseWriter, r *http.Request, session string, f *FlightRecorder) {
+	spans := f.Snapshot()
+	if r.URL.Query().Get("format") == "tree" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_ = RenderTree(w, spans)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(FlightDump{Session: session, Capacity: f.Capacity(), Total: f.Total(), Spans: spans})
 }
